@@ -217,8 +217,11 @@ class EngineConfig:
         post-click search is seeded from its pre-click key's candidates.
         Seeds are *hints* — every carried candidate is re-scored under the
         new weight vectors and the η/τ bound machinery runs unchanged — so
-        results are exact (bit-identical to an uncached search); only the
-        sorted-list walk shortens.  Default on.
+        exact searches (``search_beam_width`` and ``search_items_cap`` of
+        the elicitation config both ``None``) return results bit-identical
+        to an uncached search; only the sorted-list walk shortens.  Under a beam or an item cap the search is anytime and
+        the seeds can change which packages it returns, so carryover on and
+        off may serve different rounds.  Default on.
     partial_refill:
         ESS-deficit partial refill (incremental sampling): on a pool miss
         after feedback, instead of the all-or-nothing choice between §3.4

@@ -10,10 +10,14 @@ that time in per-candidate Python: every accessed item triggers
 :class:`BatchTopKPackageSearcher` restructures the search so the repeated
 work is shared and the per-candidate work is NumPy row-wise:
 
-* **Shared walk.**  Each weight vector keeps its own round-robin cursor over
-  the per-feature sorted lists (its access order and boundary vector τ are
-  exactly the sequential algorithm's), but the cursors advance in lockstep
-  *rounds* — one new item per still-active vector per round.
+* **Shared walk.**  Each weight vector walks its own round-robin access
+  sequence over the per-feature sorted lists (its access order and boundary
+  vector τ are exactly the sequential algorithm's), and the walks advance in
+  lockstep *steps* — one new item per still-active vector per step.  A
+  vector's access sequence depends only on its weight signs, so the cursors
+  are array state: one precomputed sequence per sign pattern
+  (:class:`~repro.topk.sorted_lists.AccessSequences`) and one access count
+  per vector, all advanced by a single gather.
 * **Shared candidate pool.**  Candidate packages are kept once, in
   struct-of-arrays form (``sums`` / ``mins`` / ``maxs`` / ``sizes`` matrices),
   instead of once per weight vector.  Utilities of every candidate under
@@ -31,9 +35,13 @@ work is shared and the per-candidate work is NumPy row-wise:
   null-aware from the current feature matrix, and re-scored under the current
   weight matrix, so its *true* utilities tighten η_lo from step one and its
   growable states re-enter Q+ where the ordinary bound recomputation prunes
-  whatever the click invalidated.  Results are identical with or without
-  carryover; consecutive post-click searches just walk only the invalidated
-  frontier instead of restarting from scratch.
+  whatever the click invalidated.  In the exact configuration (no beam, no
+  item cap, ``max_candidates`` not reached) results are identical with or
+  without carryover; consecutive post-click searches just walk only the
+  invalidated frontier instead of restarting from scratch.  When a beam or
+  item cap stops the walk early (anytime mode), seeds change which
+  candidates the truncated walk holds, so a carried search may return other
+  — per rank never worse — packages than a cold one.
 * **Active-mask early termination.**  Per vector v the usual bounds are
   maintained: ``η_lo[v]`` is the k-th best utility among discovered
   reportable candidates, ``η_up[v]`` the best ``upper-exp`` bound over the
@@ -56,6 +64,7 @@ DESIGN.md ("Batched top-k search") for the data layout.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,9 +78,8 @@ from repro.topk.package_search import (
     PackageSearchResult,
     TopKPackageSearcher,
     canonical_package_vectors,
-    null_aware_boundary,
 )
-from repro.topk.sorted_lists import FilteredOrderSource, SortedItemLists
+from repro.topk.sorted_lists import AccessSequences, FilteredOrderSource, sign_codes
 
 __all__ = ["BatchTopKPackageSearcher", "CandidateCarryover"]
 
@@ -90,10 +98,13 @@ class CandidateCarryover:
     fingerprint key, giving per-session lineage through the engine's
     ``carry_key`` tracking) and hold plain item-tuples, not search state:
     every seed is re-validated against the current catalog and re-scored
-    under the current weight matrix before it influences anything, so a
-    carried candidate can only *speed up* a search, never change its result
-    (see :meth:`BatchTopKPackageSearcher.search_pools`).  A stale, evicted
-    or even corrupted entry therefore degrades to a slower exact search.
+    under the current weight matrix before it influences anything, so in an
+    exact search a carried candidate can only *speed up* the search, never
+    change its result (see :meth:`BatchTopKPackageSearcher.search_pools`).
+    A search bounded by a beam or an item cap is anytime: there the seeds
+    change what the truncated walk holds, and with it the result.  A stale,
+    evicted or even corrupted entry degrades to a slower search without
+    seeds.
 
     Seeds are not free: every carried candidate occupies a row of the shared
     struct-of-arrays pool for the whole walk, so each per-round matrix
@@ -175,12 +186,28 @@ class CandidateCarryover:
 class _BatchState:
     """Mutable per-run state: cursors, bounds, and the shared candidate queue.
 
-    The expandable queue Q+ is held in struct-of-arrays form so candidate ×
-    vector quantities come out of matrix products: ``sums``/``mins``/``maxs``/
-    ``sizes`` describe each candidate's aggregation state exactly like
-    :class:`~repro.core.packages.AggregationState`, while ``su``/``sa`` cache
-    the candidate's sum-/avg-feature dot products against every weight vector
-    (the τ-independent part of the ``upper-exp`` bound).  Row 0 is always the
+    **Cursors.**  A vector's access sequence depends only on its weight sign
+    pattern, so the cursors are one :class:`AccessSequences` table per
+    pattern (``seq_items`` / ``seq_taus``, padded with −1 past exhaustion)
+    plus one access count per vector: advancing every active vector is one
+    gather.  ``taus`` holds each vector's null-aware boundary vector.
+
+    **Per-step bound terms.**  ``terms`` holds, per vector, every τ-derived
+    input of :meth:`BatchTopKPackageSearcher._padded_bounds`, recomputed once
+    per walk step: ``r·a`` and ``r·b`` for r = 1..φ, where ``a``/``b`` are the
+    sum/avg dot products of the NaN-filled τ, then τ of each min feature and
+    τ of each max feature with NaN → −∞; followed by the (static) normalised
+    weights of the min and max features.  A bound call slices its columns
+    with one gather.
+
+    **Queue.**  The expandable queue Q+ is held in struct-of-arrays form so
+    candidate × vector quantities come out of matrix products: ``sums``/
+    ``mins``/``maxs``/``sizes`` describe each candidate's aggregation state
+    exactly like :class:`~repro.core.packages.AggregationState`, while
+    ``su``/``sa`` cache the candidate's sum-/avg-feature dot products against
+    every weight vector (the τ-independent part of the ``upper-exp`` bound).
+    The arrays are preallocated and double when full; ``rows`` counts the
+    live prefix, which the ``q_*`` properties view.  Row 0 is always the
     empty package — the seed for singletons of still-unseen items.
     """
 
@@ -192,8 +219,10 @@ class _BatchState:
         self.k = k
         self.W = W
         self.phi = ev.max_package_size
+        self.features = ev.catalog.features
         self.sum_mask = np.array([a is Aggregation.SUM for a in aggs])
         self.avg_mask = np.array([a is Aggregation.AVG for a in aggs])
+        max_mask = np.array([a is Aggregation.MAX for a in aggs])
         self.min_feats = [j for j, a in enumerate(aggs) if a is Aggregation.MIN]
         self.max_feats = [j for j, a in enumerate(aggs) if a is Aggregation.MAX]
         self.Wn = W / ev.normalisers  # utility = raw aggregate @ (w / normalisers)
@@ -202,29 +231,95 @@ class _BatchState:
         self.set_mono = np.array(
             [LinearUtility(W[v]).is_set_monotone(ev.profile) for v in range(n)]
         )
-        self.lists = [
-            SortedItemLists(
-                ev.catalog, W[v], order_provider=searcher._order_source
-            )
-            for v in range(n)
-        ]
+        self.any_mono = bool(self.set_mono.any())
+
+        self.patterns, pattern_of = np.unique(
+            sign_codes(W), axis=0, return_inverse=True
+        )
+        self.pattern_of = np.ravel(pattern_of)
+        self.seq_items = np.empty((len(self.patterns), 0), dtype=np.int64)
+        self.seq_taus = np.empty((len(self.patterns), 0, m))
+        self.accessed = np.zeros(n, dtype=np.int64)
         self.active = np.ones(n, dtype=bool)
         self.taus = np.zeros((n, m))
+        # null_aware_boundary, vectorised: NaN where a null beats τ.
+        null_columns = searcher._null_columns
+        self.nullable = bool(null_columns.any())
+        self.null_sign_columns = null_columns & (self.sum_mask | self.avg_mask)
+        self.null_max = (null_columns & max_mask)[None, :] & (W < 0)
+
+        n_min, n_max = len(self.min_feats), len(self.max_feats)
+        self.pads = np.arange(1, self.phi + 1)
+        self.rb_col = self.phi
+        self.tau_min_col = 2 * self.phi
+        self.tau_max_col = self.tau_min_col + n_min
+        self.w_min_col = self.tau_max_col + n_max
+        self.w_max_col = self.w_min_col + n_min
+        self.terms = np.zeros((n, self.w_max_col + n_max))
+        self.terms[:, self.w_min_col:self.w_max_col] = self.Wn[:, self.min_feats]
+        self.terms[:, self.w_max_col:] = self.Wn[:, self.max_feats]
+        #: Whether a padded max feature can be non-finite this step.
+        self.max_unbounded = not searcher._max_columns_finite
 
         self.discovered: set = set()  # non-empty candidate item-tuples, shared
         self.reportable: List[Tuple[int, ...]] = []
         self.top_vals = np.full((n, k), -np.inf)  # per-vector k best utilities
         self.eta_lo = np.full(n, -np.inf)
 
+        capacity = 64
         self.q_items: List[Tuple[int, ...]] = [()]
-        self.q_sums = np.zeros((1, m))
-        self.q_mins = np.full((1, m), np.inf)
-        self.q_maxs = np.full((1, m), -np.inf)
-        self.q_sizes = np.zeros(1, dtype=int)
-        self.q_slots = np.full((1, self.phi), -1, dtype=np.int64)
-        self.q_su = np.zeros((1, n))
-        self.q_sa = np.zeros((1, n))
+        self._sums = np.zeros((capacity, m))
+        self._mins = np.full((capacity, m), np.inf)
+        self._maxs = np.full((capacity, m), -np.inf)
+        self._sizes = np.zeros(capacity, dtype=int)
+        self._slots = np.full((capacity, self.phi), -1, dtype=np.int64)
+        self._su = np.zeros((capacity, n))
+        self._sa = np.zeros((capacity, n))
+        self.rows = 1
         self.slot_of: Dict[int, int] = {}  # item index -> membership slot
+
+        # Walk attributes reported through last_search_stats.
+        self.steps = 0
+        self.peak_rows = 1
+        self.bound_cells = 0
+        self.anytime = False
+
+    # ----------------------------------------------------------- queue views
+    @property
+    def q_sums(self) -> np.ndarray:
+        return self._sums[: self.rows]
+
+    @property
+    def q_mins(self) -> np.ndarray:
+        return self._mins[: self.rows]
+
+    @property
+    def q_maxs(self) -> np.ndarray:
+        return self._maxs[: self.rows]
+
+    @property
+    def q_sizes(self) -> np.ndarray:
+        return self._sizes[: self.rows]
+
+    @property
+    def q_slots(self) -> np.ndarray:
+        return self._slots[: self.rows]
+
+    @property
+    def q_su(self) -> np.ndarray:
+        return self._su[: self.rows]
+
+    @property
+    def q_sa(self) -> np.ndarray:
+        return self._sa[: self.rows]
+
+    def walk_stats(self) -> dict:
+        return {
+            "steps": self.steps,
+            "peak_queue_rows": self.peak_rows,
+            "bound_cells": self.bound_cells,
+            "anytime": self.anytime,
+        }
 
     def observe(self, utilities: np.ndarray) -> None:
         """Fold newly discovered reportable utilities into η_lo (k-th best)."""
@@ -235,23 +330,40 @@ class _BatchState:
         self.eta_lo = self.top_vals.min(axis=1)
 
     def append_queue(self, items, sums, mins, maxs, sizes, slots) -> None:
+        start = self.rows
+        stop = start + len(items)
+        if stop > self._sums.shape[0]:
+            self._grow(stop)
         self.q_items.extend(items)
-        self.q_sums = np.concatenate([self.q_sums, sums])
-        self.q_mins = np.concatenate([self.q_mins, mins])
-        self.q_maxs = np.concatenate([self.q_maxs, maxs])
-        self.q_sizes = np.concatenate([self.q_sizes, sizes])
-        self.q_slots = np.concatenate([self.q_slots, slots])
-        self.q_su = np.concatenate([self.q_su, sums @ self.Wn_sum.T])
-        self.q_sa = np.concatenate([self.q_sa, sums @ self.Wn_avg.T])
+        self._sums[start:stop] = sums
+        self._mins[start:stop] = mins
+        self._maxs[start:stop] = maxs
+        self._sizes[start:stop] = sizes
+        self._slots[start:stop] = slots
+        self._su[start:stop] = sums @ self.Wn_sum.T
+        self._sa[start:stop] = sums @ self.Wn_avg.T
+        self.rows = stop
+        self.peak_rows = max(self.peak_rows, stop)
+
+    def _grow(self, needed: int) -> None:
+        capacity = max(2 * self._sums.shape[0], needed)
+        for name in ("_sums", "_mins", "_maxs", "_sizes", "_slots", "_su", "_sa"):
+            old = getattr(self, name)
+            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[: self.rows] = old[: self.rows]
+            setattr(self, name, new)
 
     def shrink_queue(self, keep: np.ndarray) -> None:
         """Restrict the queue to ``keep`` (boolean mask or index array)."""
         rows = np.flatnonzero(keep) if keep.dtype == bool else np.asarray(keep)
+        count = rows.size
         self.q_items = [self.q_items[i] for i in rows]
-        self.q_sums, self.q_mins = self.q_sums[rows], self.q_mins[rows]
-        self.q_maxs, self.q_sizes = self.q_maxs[rows], self.q_sizes[rows]
-        self.q_slots = self.q_slots[rows]
-        self.q_su, self.q_sa = self.q_su[rows], self.q_sa[rows]
+        for array in (
+            self._sums, self._mins, self._maxs, self._sizes,
+            self._slots, self._su, self._sa,
+        ):
+            array[:count] = array[rows]
+        self.rows = count
 
 
 class BatchTopKPackageSearcher:
@@ -287,8 +399,10 @@ class BatchTopKPackageSearcher:
         Optional :class:`CandidateCarryover` enabling cross-round candidate
         reuse through the ``carry_in`` / ``carry_out`` arguments of
         :meth:`search_pools`.  Carried candidates are seeds only — every one
-        is re-validated and re-scored before use — so results are identical
-        with or without a carryover cache; only the walk length changes.
+        is re-validated and re-scored before use — so exact searches return
+        the same results with or without a carryover cache; only the walk
+        length changes.  Under a finite ``beam_width`` or
+        ``max_items_accessed`` the seeds can change the anytime result.
     catalog_predicate:
         Optional item-eligibility predicate
         (:class:`repro.data.columnar.CatalogPredicate`) pushed down into
@@ -345,6 +459,17 @@ class BatchTopKPackageSearcher:
         self._order_source = FilteredOrderSource(
             evaluator.catalog, self._eligible_mask
         )
+        self._sequences = AccessSequences(evaluator.catalog, self._order_source)
+        # A padded max feature is non-finite only through a −∞ pad (a null
+        # beating τ) unless the catalog itself holds infinite values.
+        max_summaries = [
+            evaluator.catalog.column_summary(j)
+            for j, aggregation in enumerate(evaluator.profile.aggregations)
+            if aggregation is Aggregation.MAX
+        ]
+        self._max_columns_finite = not any(
+            math.isinf(s.vmin) or math.isinf(s.vmax) for s in max_summaries
+        )
         #: Summary of the most recent :meth:`_search_flat` call (row counts,
         #: dedup rate, items accessed, carried seeds) — read by the engine's
         #: telemetry layer to annotate ``search.topk`` spans.  ``None`` until
@@ -398,13 +523,17 @@ class BatchTopKPackageSearcher:
         shared walk (the walk is shared, so merged seeds are sound for every
         pool in the batch), and the candidates this walk materialises are
         stored under every non-``None`` ``carry_out`` key for the next round.
-        Seeding never changes results: each seed is validated against the
-        catalog, its aggregation state is rebuilt from the current feature
-        matrix (null-aware, like live expansion), its *true* utilities
-        initialise η_lo, and its still-growable states re-enter the
-        expandable queue where the per-round bound recomputation re-validates
-        them against the moved τs — so invalidated candidates are pruned
-        exactly as organically discovered ones are.
+        Seeding never changes the results of an exact search: each seed is
+        validated against the catalog, its aggregation state is rebuilt from
+        the current feature matrix (null-aware, like live expansion), its
+        *true* utilities initialise η_lo, and its still-growable states
+        re-enter the expandable queue where the per-round bound
+        recomputation re-validates them against the moved τs — so
+        invalidated candidates are pruned exactly as organically discovered
+        ones are.  A walk cut short by a beam or an item cap (reported as
+        ``anytime`` in :attr:`last_search_stats`) keeps whichever candidates
+        it holds when it stops, and seeds change those, so there the
+        carried and the cold search may differ.
         """
         mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in matrices]
         for matrix in mats:
@@ -459,7 +588,7 @@ class BatchTopKPackageSearcher:
         if matrix.shape[0] == 0:
             return [], None
         unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
-        unique_results, harvest = self._search_unique(unique, k, seeds)
+        unique_results, harvest, walk = self._search_unique(unique, k, seeds)
         rows = int(matrix.shape[0])
         unique_rows = int(unique.shape[0])
         self.last_search_stats = {
@@ -470,6 +599,7 @@ class BatchTopKPackageSearcher:
                 sum(result.items_accessed for result in unique_results)
             ),
             "seeds": len(seeds) if seeds else 0,
+            **walk,
         }
         return [unique_results[j] for j in np.ravel(inverse)], harvest
 
@@ -482,6 +612,7 @@ class BatchTopKPackageSearcher:
     ):
         results: List[Optional[PackageSearchResult]] = [None] * W.shape[0]
         harvest: Optional[List[Tuple[int, ...]]] = None
+        walk = {"steps": 0, "peak_queue_rows": 0, "bound_cells": 0, "anytime": False}
         zero_rows = [v for v in range(W.shape[0]) if not np.any(W[v])]
         nonzero_rows = [v for v in range(W.shape[0]) if np.any(W[v])]
         if zero_rows:
@@ -496,10 +627,10 @@ class BatchTopKPackageSearcher:
             for v in zero_rows:
                 results[v] = fallback.search(W[v], k)
         if nonzero_rows:
-            batch, harvest = self._run(W[nonzero_rows], k, seeds)
+            batch, harvest, walk = self._run(W[nonzero_rows], k, seeds)
             for v, result in zip(nonzero_rows, batch):
                 results[v] = result
-        return results, harvest  # type: ignore[return-value]
+        return results, harvest, walk  # type: ignore[return-value]
 
     # ------------------------------------------------------------- core search
     def _run(
@@ -515,12 +646,15 @@ class BatchTopKPackageSearcher:
             new_items = self._advance_cursors(state)
             if not state.active.any():
                 break
-            for item, cols in new_items.items():
-                self._expand_with_item(state, item, np.asarray(cols, dtype=int))
+            state.steps += 1
+            self._step_terms(state)
+            for item, cols in new_items:
+                self._expand_with_item(state, item, cols)
             self._prune_and_terminate(state)
             if len(state.discovered) > self.max_candidates:
+                state.anytime = True
                 break
-        return self._collect(state), self._harvest(state)
+        return self._collect(state), self._harvest(state), state.walk_stats()
 
     def _seed_candidates(
         self, state: _BatchState, seeds: Sequence[Tuple[int, ...]]
@@ -615,26 +749,84 @@ class BatchTopKPackageSearcher:
             merged.setdefault(candidate, None)
         return list(merged)
 
-    def _advance_cursors(self, state: _BatchState) -> Dict[int, List[int]]:
-        """Read one new item per active vector; returns item -> accessing vectors."""
-        new_items: Dict[int, List[int]] = {}
-        for v in np.flatnonzero(state.active):
-            if (
-                self.max_items_accessed is not None
-                and state.lists[v].num_accessed >= self.max_items_accessed
-            ):
-                state.active[v] = False
-                continue
-            item = state.lists[v].next_item()
-            if item is None:
-                state.active[v] = False
-                continue
-            state.taus[v] = null_aware_boundary(
-                state.lists[v].boundary_vector(), state.W[v],
-                self.evaluator.profile, self._null_columns,
+    def _advance_cursors(self, state: _BatchState) -> List[Tuple[int, np.ndarray]]:
+        """Read one new item per active vector; returns (item, accessing vectors).
+
+        Items come in the order of their first accessing vector and each
+        vector list is ascending — the order the per-vector cursors of
+        :class:`~repro.topk.sorted_lists.SortedItemLists` would produce.
+        """
+        act = np.flatnonzero(state.active)
+        if self.max_items_accessed is not None:
+            capped = state.accessed[act] >= self.max_items_accessed
+            if capped.any():
+                state.active[act[capped]] = False
+                state.anytime = True
+                act = act[~capped]
+                if act.size == 0:
+                    return []
+        position = state.accessed[act]
+        needed = int(position.max()) + 1
+        if needed > state.seq_items.shape[1]:
+            self._extend_sequences(state, needed)
+        pattern = state.pattern_of[act]
+        items = state.seq_items[pattern, position]
+        exhausted = items < 0
+        if exhausted.any():
+            state.active[act[exhausted]] = False
+            live = ~exhausted
+            act, pattern, position, items = (
+                act[live], pattern[live], position[live], items[live]
             )
-            new_items.setdefault(item, []).append(v)
-        return new_items
+            if act.size == 0:
+                return []
+        state.accessed[act] = position + 1
+        taus = state.seq_taus[pattern, position]
+        if state.nullable:
+            nulled = state.null_max[act] | (
+                state.null_sign_columns & (state.W[act] * taus < 0)
+            )
+            taus[nulled] = np.nan
+        state.taus[act] = taus
+        if items[0] == items[-1] and (items == items[0]).all():
+            return [(int(items[0]), act)]
+        groups: Dict[int, List[int]] = {}
+        for v, item in zip(act.tolist(), items.tolist()):
+            groups.setdefault(item, []).append(v)
+        return [(item, np.array(cols)) for item, cols in groups.items()]
+
+    def _extend_sequences(self, state: _BatchState, needed: int) -> None:
+        """Grow the per-pattern access tables to hold ``needed`` accesses."""
+        length = max(needed, 2 * state.seq_items.shape[1], 16)
+        count = len(state.patterns)
+        items_table = np.full((count, length), -1, dtype=np.int64)
+        taus_table = np.zeros((count, length, state.taus.shape[1]))
+        for p, code in enumerate(state.patterns):
+            items, taus, _complete = self._sequences.sequence(code, length)
+            width = min(items.size, length)
+            items_table[p, :width] = items[:width]
+            taus_table[p, :width] = taus[:width]
+        state.seq_items, state.seq_taus = items_table, taus_table
+
+    def _step_terms(self, state: _BatchState) -> None:
+        """Recompute the τ-derived bound terms of every vector for this step."""
+        taus = state.taus
+        terms = state.terms
+        filled = np.where(np.isnan(taus), 0.0, taus) if state.nullable else taus
+        a = np.einsum("vj,vj->v", filled, state.Wn_sum)
+        b = np.einsum("vj,vj->v", filled, state.Wn_avg)
+        np.multiply(a[:, None], state.pads, out=terms[:, : state.rb_col])
+        np.multiply(b[:, None], state.pads, out=terms[:, state.rb_col:state.tau_min_col])
+        if state.min_feats:
+            terms[:, state.tau_min_col:state.tau_max_col] = taus[:, state.min_feats]
+        if state.max_feats:
+            tau_max = taus[:, state.max_feats]
+            if state.nullable:
+                tau_max = np.where(np.isnan(tau_max), -np.inf, tau_max)
+                state.max_unbounded = not self._max_columns_finite or bool(
+                    np.isinf(tau_max).any()
+                )
+            terms[:, state.tau_max_col:state.w_min_col] = tau_max
 
     # --------------------------------------------------------------- expansion
     def _expand_with_item(
@@ -650,25 +842,33 @@ class BatchTopKPackageSearcher:
         tighten every vector's η_lo and they compete in every vector's final
         ranking.
         """
-        slot = state.slot_of.setdefault(item, len(state.slot_of))
-        values = self.evaluator.catalog.features[item]
+        # Every queued candidate is still growable (only sizes < φ are
+        # queued), so the rows that extend are those not holding the item —
+        # all of them when the item is seen for the first time.
+        slot = state.slot_of.get(item)
+        if slot is None:
+            slot = state.slot_of[item] = len(state.slot_of)
+            rows = None
+            q_sums, q_mins, q_maxs = state.q_sums, state.q_mins, state.q_maxs
+            q_sizes = state.q_sizes
+        else:
+            rows = np.flatnonzero(~(state.q_slots == slot).any(axis=1))
+            if rows.size == 0:
+                return
+            q_sums, q_mins, q_maxs = state.q_sums[rows], state.q_mins[rows], state.q_maxs[rows]
+            q_sizes = state.q_sizes[rows]
+        values = state.features[item]
         null = np.isnan(values)
-        contrib = np.where(null, 0.0, values)
-
-        rows = np.flatnonzero(
-            (state.q_sizes < state.phi) & ~(state.q_slots == slot).any(axis=1)
-        )
-        if rows.size == 0:
-            return
-
-        ext_sums = state.q_sums[rows] + contrib
-        ext_mins = np.where(
-            null, state.q_mins[rows], np.minimum(state.q_mins[rows], contrib)
-        )
-        ext_maxs = np.where(
-            null, state.q_maxs[rows], np.maximum(state.q_maxs[rows], contrib)
-        )
-        ext_sizes = state.q_sizes[rows] + 1
+        if null.any():
+            contrib = np.where(null, 0.0, values)
+            ext_mins = np.where(null, q_mins, np.minimum(q_mins, contrib))
+            ext_maxs = np.where(null, q_maxs, np.maximum(q_maxs, contrib))
+        else:
+            contrib = values
+            ext_mins = np.minimum(q_mins, contrib)
+            ext_maxs = np.maximum(q_maxs, contrib)
+        ext_sums = q_sums + contrib
+        ext_sizes = q_sizes + 1
 
         raw = self._raw_vectors(state, ext_sums, ext_mins, ext_maxs, ext_sizes)
         util_cols = raw @ state.Wn[cols].T  # own utilities, gate columns only
@@ -685,8 +885,10 @@ class BatchTopKPackageSearcher:
 
         new_rows: List[int] = []
         new_tuples: List[Tuple[int, ...]] = []
-        for r in kept:
-            package_items = tuple(sorted(state.q_items[rows[r]] + (item,)))
+        q_items = state.q_items
+        sources = kept if rows is None else rows[kept]
+        for r, source in zip(kept.tolist(), sources.tolist()):
+            package_items = tuple(sorted(q_items[source] + (item,)))
             if package_items in state.discovered:
                 continue
             state.discovered.add(package_items)
@@ -697,19 +899,23 @@ class BatchTopKPackageSearcher:
         new_idx = np.asarray(new_rows, dtype=int)
 
         # Fold the new candidates' utilities (under every vector) into η_lo.
-        rep_mask = np.array([self._reportable(t) for t in new_tuples])
-        if rep_mask.any():
-            state.reportable.extend(
-                t for t, keep in zip(new_tuples, rep_mask) if keep
-            )
-            state.observe(raw[new_idx[rep_mask]] @ state.Wn.T)
+        if self.predicates is None:  # every non-empty package is reportable
+            state.reportable.extend(new_tuples)
+            state.observe(raw[new_idx] @ state.Wn.T)
+        else:
+            rep_mask = np.array([self._reportable(t) for t in new_tuples])
+            if rep_mask.any():
+                state.reportable.extend(
+                    t for t, keep in zip(new_tuples, rep_mask) if keep
+                )
+                state.observe(raw[new_idx[rep_mask]] @ state.Wn.T)
 
         # Queue the still-growable new candidates; the end-of-round bound
         # recomputation prunes any that cannot reach a surviving top-k.
         grow = np.flatnonzero(ext_sizes[new_idx] < state.phi)
         if grow.size:
             g = new_idx[grow]
-            slots = state.q_slots[rows[g]].copy()
+            slots = state.q_slots[g if rows is None else rows[g]]
             slots[np.arange(g.size), ext_sizes[g] - 1] = slot
             state.append_queue(
                 [new_tuples[i] for i in grow],
@@ -720,24 +926,28 @@ class BatchTopKPackageSearcher:
     def _prune_and_terminate(self, state: _BatchState) -> None:
         """Recompute queue bounds against the moved τs; prune, beam, terminate."""
         act = np.flatnonzero(state.active)
+        if act.size == state.W.shape[0]:
+            su, sa = state.q_su, state.q_sa
+        else:
+            su, sa = state.q_su[:, act], state.q_sa[:, act]
         bounds = self._padded_bounds(
-            state,
-            state.q_su[:, act], state.q_sa[:, act],
-            state.q_mins, state.q_maxs, state.q_sizes, act,
+            state, su, sa, state.q_mins, state.q_maxs, state.q_sizes, act
         )
-        keep = (bounds >= state.eta_lo[act][None, :]).any(axis=1)
+        eta_lo = state.eta_lo[act]
+        keep = (bounds >= eta_lo[None, :]).any(axis=1)
         keep[0] = True  # the empty package always stays
-        eta_up = bounds[keep].max(axis=0)
-        state.active[act[eta_up <= state.eta_lo[act]]] = False
         if not keep.all():
             bounds = bounds[keep]
             state.shrink_queue(keep)
+        eta_up = bounds.max(axis=0)
+        state.active[act[eta_up <= eta_lo]] = False
         if self.beam_width is not None:
             # beam_width is per vector (as in the sequential searcher); the
             # shared queue gets the batch's pooled budget so minority vectors
             # are not squeezed N times harder than they would be alone.
             shared_cap = self.beam_width * state.W.shape[0]
-            if len(state.q_items) - 1 > shared_cap:
+            if state.rows - 1 > shared_cap:
+                state.anytime = True
                 scored = bounds.max(axis=1)
                 scored[0] = np.inf  # pin the empty package
                 top = np.argsort(-scored, kind="stable")[: shared_cap + 1]
@@ -774,15 +984,14 @@ class BatchTopKPackageSearcher:
         hence their "no value yet" sentinels — untouched, exactly like
         ``AggregationState.add`` treats a null.
         """
-        tau_c = state.taus[cols]  # (V, m)
-        wn_c = state.Wn[cols]
-        tau_filled = np.where(np.isnan(tau_c), 0.0, tau_c)
-        a = np.einsum("vj,vj->v", tau_filled, state.Wn_sum[cols])
-        b = np.einsum("vj,vj->v", tau_filled, state.Wn_avg[cols])
+        state.bound_cells += su.size
+        terms = state.terms[cols]  # (V, K): this step's τ terms, sliced
 
-        mm = np.zeros_like(su)
-        for j in state.min_feats:
-            padded = np.minimum.outer(mins[:, j], tau_c[:, j])  # no value -> τ
+        mm = np.zeros(su.shape)
+        for i, j in enumerate(state.min_feats):
+            tau_j = terms[:, state.tau_min_col + i]
+            w_j = terms[:, state.w_min_col + i]
+            padded = np.minimum.outer(mins[:, j], tau_j)  # no value -> τ
             if self._null_columns[j]:
                 # Nullable min features, resolved per candidate exactly like
                 # the sequential _upper_exp: a positive weight keeps the
@@ -792,35 +1001,50 @@ class BatchTopKPackageSearcher:
                 has_value = np.isfinite(mins[:, j])[:, None]
                 keep = np.where(has_value, mins[:, j][:, None], 0.0)
                 padded = np.where(
-                    (wn_c[:, j] > 0)[None, :],
+                    (w_j > 0)[None, :],
                     np.where(has_value, keep, padded),
                     np.where(has_value, padded, 0.0),
                 )
-            mm += padded * wn_c[:, j][None, :]
-        for j in state.max_feats:
-            # NaN τ entries (nullable max under a negative weight) keep the
-            # candidate's maximum — or, with no value yet, an aggregate of 0.
-            tau_j = np.where(np.isnan(tau_c[:, j]), -np.inf, tau_c[:, j])
-            padded = np.maximum.outer(maxs[:, j], tau_j)
-            padded[~np.isfinite(padded)] = 0.0
-            mm += padded * wn_c[:, j][None, :]
+            mm += padded * w_j[None, :]
+        for i, j in enumerate(state.max_feats):
+            # NaN τ entries (nullable max under a negative weight) are −∞ in
+            # the terms: they keep the candidate's maximum — or, with no
+            # value yet, an aggregate of 0.
+            padded = np.maximum.outer(maxs[:, j], terms[:, state.tau_max_col + i])
+            if state.max_unbounded:
+                padded[~np.isfinite(padded)] = 0.0
+            mm += padded * terms[:, state.w_max_col + i][None, :]
 
         remaining = state.phi - sizes  # (C,)
-        best = np.full(su.shape, -np.inf)
-        mono = state.set_mono[cols]
-        for r in range(1, state.phi + 1):
-            valid = r <= remaining
-            if not valid.any():
-                break
-            val = (
-                su + r * a[None, :]
-                + (sa + r * b[None, :]) / (sizes + r)[:, None]
-                + mm
-            )
-            np.maximum(best, val, out=best, where=valid[:, None] & ~mono[None, :])
-            final = remaining == r
-            if final.any() and mono.any():
-                np.copyto(best, val, where=final[:, None] & mono[None, :])
+        fewest, most = int(remaining.min()), int(remaining.max())
+        denominators = sizes[:, None] + state.pads  # (C, φ): size + r
+        mono = state.set_mono[cols] if state.any_mono else None
+        if mono is not None and mono.any():
+            best = np.full(su.shape, -np.inf)
+        else:
+            mono = best = None
+        for r in range(1, min(state.phi, most) + 1):
+            val = su + terms[:, r - 1]
+            val += (sa + terms[:, state.rb_col + r - 1]) / denominators[:, r - 1:r]
+            val += mm
+            if mono is not None:
+                valid = (r <= remaining)[:, None]
+                np.maximum(best, val, out=best, where=valid & ~mono[None, :])
+                final = remaining == r
+                if final.any():
+                    np.copyto(best, val, where=final[:, None] & mono[None, :])
+            elif r <= fewest:
+                # Every row can take r pads: a plain running maximum.
+                if best is None:
+                    best = val
+                else:
+                    np.maximum(best, val, out=best)
+            else:
+                if best is None:
+                    best = np.full(su.shape, -np.inf)
+                np.maximum(best, val, out=best, where=(r <= remaining)[:, None])
+        if best is None:
+            best = np.full(su.shape, -np.inf)
         return best
 
     # ----------------------------------------------------------------- helpers
@@ -835,8 +1059,8 @@ class BatchTopKPackageSearcher:
         """Unnormalised aggregate vectors for a block of candidate states."""
         raw = np.where(state.sum_mask, sums, 0.0)
         if state.avg_mask.any():
-            sizes_col = np.maximum(sizes, 1)[:, None]
-            raw = np.where(state.avg_mask, sums / sizes_col, raw)
+            # Candidates are non-empty, so size ≥ 1 divides the sums as is.
+            raw = np.where(state.avg_mask, sums / sizes[:, None], raw)
         for j in state.min_feats:
             raw[:, j] = np.where(np.isfinite(mins[:, j]), mins[:, j], 0.0)
         for j in state.max_feats:
@@ -886,7 +1110,7 @@ class BatchTopKPackageSearcher:
                 PackageSearchResult(
                     packages=[Package(reportable[i]) for i in order],
                     utilities=[float(utilities[i]) for i in order],
-                    items_accessed=state.lists[v].num_accessed,
+                    items_accessed=int(state.accessed[v]),
                     candidates_generated=len(state.discovered),
                 )
             )

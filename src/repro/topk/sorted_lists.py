@@ -34,6 +34,13 @@ As the walk advances, τ only moves toward less desirable values, so ``η_up``
 tightens monotonically while ``η_lo`` rises — the two bounds close in on each
 other from both sides.
 
+A cursor's item-access order and τ depend on its weight vector only through
+the *sign* of each component (which lists exist and which way each is read).
+:class:`AccessSequences` exploits that for the batch searcher: it computes a
+cursor's whole access sequence — item after item, with τ after each access —
+in bulk, once per sign pattern, so many weight vectors walk by indexing into
+shared arrays instead of stepping one :class:`SortedItemLists` each.
+
 One subtlety: a *null* feature value contributes nothing to any aggregate,
 and "contributing nothing" can be more desirable than τ itself (e.g. on a
 negative-weight sum feature).  The searchers therefore post-process τ with
@@ -43,7 +50,7 @@ this module only reports the raw per-list boundary values.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,8 +100,8 @@ class SortedItemLists:
     read, which items have already been produced (an item surfacing in a
     second list is skipped but still advances that list's boundary), and the
     current boundary value vector τ.  The sequential searcher owns a single
-    cursor; the batch searcher advances one cursor per weight vector in
-    lockstep while sharing all candidate-package state between them.
+    cursor; the batch searcher walks the same access sequences through
+    :class:`AccessSequences` instead.
 
     Parameters
     ----------
@@ -225,3 +232,116 @@ class SortedItemLists:
             values = np.where(np.isnan(values), 0.0, values)
             tau[j] = float(values.min()) if self.weights[j] > 0 else float(values.max())
         return tau
+
+
+def sign_codes(weights_matrix: np.ndarray) -> np.ndarray:
+    """The list code of every weight component: 0 no list, 1 ascending, 2 descending.
+
+    Mirrors :class:`SortedItemLists`: a component gets a list when it is
+    non-zero (``w != 0``, so ``-0.0`` does not) and that list is read in
+    descending order when ``w > 0``.  Rows with equal codes have cursors
+    that access the same items in the same order with the same τ.
+    """
+    weights = np.asarray(weights_matrix, dtype=float)
+    return np.where(weights != 0.0, np.where(weights > 0.0, 2, 1), 0).astype(np.int8)
+
+
+class AccessSequences:
+    """Whole access sequences of :class:`SortedItemLists` cursors, per sign pattern.
+
+    ``sequence(code, length)`` returns ``(items, taus, complete)`` for the
+    cursor of any weight vector whose :func:`sign_codes` row is ``code``:
+    ``items[t]`` is what the cursor's ``(t+1)``-th ``next_item()`` returns and
+    ``taus[t]`` its ``boundary_vector()`` right after.  ``complete`` says that
+    ``items`` runs to exhaustion (the next ``next_item()`` returns ``None``);
+    otherwise ``items`` holds at least ``length`` entries.
+
+    The sequence is computed in bulk from the round-robin read stream: round
+    ``r`` reads position ``r`` of every list that still has one, in feature
+    order, so the stream is the row-major ravel of a padded (rounds × lists)
+    order table with the padding dropped — which also covers filtered lists
+    of unequal length.  An item is returned at its first occurrence in the
+    stream, and τ of a list is the (null → 0) value at its last read
+    position, or at position 0 before the list's first read.  Sequences are
+    built to a number of rounds that doubles on demand and are cached per
+    pattern, so a searcher reused across searches builds each only a few
+    times.
+
+    Parameters
+    ----------
+    catalog:
+        The item catalog.
+    order_provider:
+        ``(feature, descending) -> order`` callable, as for
+        :class:`SortedItemLists` (e.g. a :class:`FilteredOrderSource`).
+    """
+
+    #: Rounds of the read stream a pattern's first build covers.
+    INITIAL_ROUNDS = 32
+
+    def __init__(
+        self,
+        catalog: ItemCatalog,
+        order_provider: Optional[Callable[[int, bool], np.ndarray]] = None,
+    ) -> None:
+        self.catalog = catalog
+        if order_provider is None:
+            order_provider = lambda j, descending: catalog.argsort_feature(  # noqa: E731
+                j, descending=descending
+            )
+        self._order_provider = order_provider
+        self._cache: Dict[bytes, Tuple[int, np.ndarray, np.ndarray, bool]] = {}
+
+    def sequence(
+        self, code: np.ndarray, length: int
+    ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """``(items, taus, complete)`` covering at least ``length`` accesses."""
+        code = np.asarray(code, dtype=np.int8)
+        key = code.tobytes()
+        cached = self._cache.get(key)
+        if cached is not None:
+            rounds, items, taus, complete = cached
+            if complete or items.size >= length:
+                return items, taus, complete
+            rounds *= 2
+        else:
+            rounds = self.INITIAL_ROUNDS
+        while True:
+            items, taus, complete = self._build(code, rounds)
+            if complete or items.size >= length:
+                break
+            rounds *= 2
+        self._cache[key] = (rounds, items, taus, complete)
+        return items, taus, complete
+
+    def _build(self, code: np.ndarray, rounds: int):
+        features = np.flatnonzero(code)
+        num_features = self.catalog.num_features
+        orders = [
+            np.asarray(self._order_provider(int(j), bool(code[j] == 2)), dtype=np.int64)
+            for j in features
+        ]
+        longest = max((order.size for order in orders), default=0)
+        depth = min(rounds, longest)
+        table = np.full((depth, features.size), -1, dtype=np.int64)
+        for i, order in enumerate(orders):
+            head = order[:depth]
+            table[: head.size, i] = head
+        stream = table.ravel()
+        read = stream >= 0
+        reads = stream[read]
+        lists = np.tile(np.arange(features.size), depth)[read]
+        _, first = np.unique(reads, return_index=True)
+        first.sort()
+        items = reads[first]
+        # Reads of each list up to and including the read that returned item t.
+        depth_read = np.cumsum(lists[:, None] == np.arange(features.size), axis=0)[first]
+        taus = np.zeros((items.size, num_features))
+        values_matrix = self.catalog.features
+        for i, j in enumerate(features):
+            if orders[i].size == 0:
+                continue  # an empty list contributes τ = 0, as boundary_vector
+            values = values_matrix[orders[i][:depth], j]
+            values = np.where(np.isnan(values), 0.0, values)
+            taus[:, j] = values[np.maximum(depth_read[:, i] - 1, 0)]
+        return items, taus, depth >= longest

@@ -105,6 +105,11 @@ class TestRequestSpanTrees:
         assert search["attrs"]["mode"] == "session"
         assert search["attrs"]["rows"] >= 1
         assert search["attrs"]["items_accessed"] >= 1
+        # Walk attributes: shape of the walk and whether it was exact.
+        assert search["attrs"]["steps"] >= 1
+        assert search["attrs"]["peak_queue_rows"] >= 1
+        assert search["attrs"]["bound_cells"] >= 1
+        assert isinstance(search["attrs"]["anytime"], bool)
 
     def test_batched_request_trace(self, serving_catalog, serving_profile):
         telemetry = traced_telemetry()

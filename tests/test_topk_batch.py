@@ -467,3 +467,53 @@ class TestCarryoverEquivalence:
             assert len(warm.utilities) >= len(cold_result.utilities)
             for warm_value, cold_value in zip(warm.utilities, cold_result.utilities):
                 assert warm_value >= cold_value
+
+
+class TestWalkStats:
+    """``last_search_stats`` reports the walk's shape and whether it was exact."""
+
+    @staticmethod
+    def _searcher(**kwargs):
+        rng = np.random.default_rng(11)
+        evaluator = PackageEvaluator(
+            ItemCatalog(rng.random((60, 4))),
+            AggregateProfile(["sum", "avg", "max", "min"]), 3,
+        )
+        weights = rng.uniform(-1, 1, (6, 4))
+        return BatchTopKPackageSearcher(evaluator, **kwargs), weights
+
+    def test_exact_search_is_not_anytime(self):
+        searcher, weights = self._searcher()
+        searcher.search_many(weights, 3)
+        stats = searcher.last_search_stats
+        assert stats["anytime"] is False
+        assert stats["steps"] >= 1
+        assert stats["peak_queue_rows"] >= 2
+        assert stats["bound_cells"] >= stats["steps"]
+
+    def test_item_cap_makes_the_search_anytime(self):
+        searcher, weights = self._searcher(max_items_accessed=3)
+        searcher.search_many(weights, 3)
+        assert searcher.last_search_stats["anytime"] is True
+        assert searcher.last_search_stats["steps"] == 3
+
+    def test_a_cap_the_walk_never_reaches_stays_exact(self):
+        searcher, weights = self._searcher(max_items_accessed=60)
+        searcher.search_many(weights, 3)
+        assert searcher.last_search_stats["anytime"] is False
+
+    def test_beam_truncation_makes_the_search_anytime(self):
+        searcher, weights = self._searcher(beam_width=1)
+        searcher.search_many(weights[:1], 3)
+        assert searcher.last_search_stats["anytime"] is True
+
+    def test_max_candidates_stop_makes_the_search_anytime(self):
+        searcher, weights = self._searcher(max_candidates=5)
+        searcher.search_many(weights, 3)
+        assert searcher.last_search_stats["anytime"] is True
+
+    def test_all_zero_rows_take_no_walk_steps(self):
+        searcher, weights = self._searcher()
+        searcher.search_many(np.zeros_like(weights), 3)
+        stats = searcher.last_search_stats
+        assert stats["steps"] == 0 and stats["anytime"] is False
